@@ -189,29 +189,33 @@ func TestSegmentsNonNilWhenEmpty(t *testing.T) {
 }
 
 func TestResetRetainsCapacity(t *testing.T) {
+	// Enough records to cross several chunk boundaries, segments and
+	// flows alike, and two processes with their own names.
+	const n = 3 * maxChunk
+	fill := func(r *Recorder) {
+		for i := 0; i < n; i++ {
+			r.Segment(i%2, "p", vm.SegCompute, float64(i), float64(i)+0.5)
+			r.Flow("m", 0, 1, float64(i), float64(i)+0.25)
+		}
+	}
 	r := NewRecorder()
-	for i := 0; i < 1000; i++ {
-		r.Segment(0, "p", vm.SegCompute, float64(i), float64(i)+0.5)
-	}
-	before := cap(r.segs)
-	if before < 1000 {
-		t.Fatalf("capacity %d after 1000 segments", before)
-	}
+	fill(r)
 	r.Reset()
-	if len(r.segs) != 0 {
-		t.Fatalf("len %d after Reset", len(r.segs))
+	if len(r.Segments()) != 0 || len(r.Flows()) != 0 || len(r.Procs()) != 0 {
+		t.Fatal("Reset left records behind")
 	}
-	if cap(r.segs) != before {
-		t.Fatalf("Reset changed capacity %d -> %d", before, cap(r.segs))
-	}
-	// Refilling to the previous length must not grow the backing array.
+	// Refilling a reset recorder reuses what the first fill allocated.
 	allocs := testing.AllocsPerRun(1, func() {
 		r.Reset()
-		for i := 0; i < 1000; i++ {
-			r.Segment(0, "p", vm.SegCompute, float64(i), float64(i)+0.5)
-		}
+		fill(r)
 	})
 	if allocs != 0 {
 		t.Fatalf("recording into reset recorder allocated %.0f times per run", allocs)
+	}
+	if got := len(r.Segments()); got != n {
+		t.Fatalf("%d segments after refill, want %d", got, n)
+	}
+	if got := r.Flows(); len(got) != n || got[n-1].ID != n-1 {
+		t.Fatalf("%d flows after refill, want %d with IDs in order", len(got), n)
 	}
 }
